@@ -1,10 +1,10 @@
 // Determinism rule family: token-level port of the 8 rules of the
-// retired regex lint (tools/determinism_lint.py) plus three new
-// token-aware rules.  Matching against the token stream (never against
-// string literals, comments or preprocessor text) eliminates the false-
-// positive class the regex lint had, and token patterns make the new
-// rules (pointer-keyed ordered containers, operator< on pointers,
-// float accumulation over unordered iteration) expressible at all.
+// regex lint of early revisions plus three new token-aware rules.
+// Matching against the token stream (never against string literals,
+// comments or preprocessor text) eliminates the false-positive class the
+// regex lint had, and token patterns make the new rules (pointer-keyed
+// ordered containers, operator< on pointers, float accumulation over
+// unordered iteration) expressible at all.
 #include <cstddef>
 #include <set>
 #include <string>

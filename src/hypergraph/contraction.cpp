@@ -6,6 +6,7 @@
 
 #include "src/util/checked_narrow.h"
 #include "src/util/logging.h"
+#include "src/util/shard.h"
 
 namespace vlsipart {
 namespace {
@@ -27,7 +28,7 @@ std::uint64_t hash_pins(std::span<const VertexId> pins) {
 
 ContractionResult contract(const Hypergraph& h,
                            const std::vector<VertexId>& cluster_of,
-                           ContractionMemory* memory) {
+                           ContractionMemory* memory, ThreadPool* pool) {
   VP_CHECK(cluster_of.size() == h.num_vertices(),
            "cluster map covers all vertices");
 
@@ -70,51 +71,76 @@ ContractionResult contract(const Hypergraph& h,
     }
   }
 
-  // Rewrite each net onto coarse ids; dedup pins; merge parallel nets
-  // (identical pin sets) via a flat linear-probing table over the
-  // pending-net list.  At most one pending net exists per distinct pin
-  // set at any time, so probing by exact pin comparison reproduces the
-  // historical hash-map-of-lists merge exactly.
-  VP_CHECK(h.num_edges() < kEmptySlot, "edge count fits table entries");
+  // Rewrite each net onto coarse ids: its sorted, dedup'd coarse pins
+  // land at the net's own fine pin offset in net_pins, so nets are
+  // independent and `pool` may shard them; the output does not depend
+  // on the sharding.
+  const std::size_t m = h.num_edges();
+  mem.net_pins.resize(h.num_pins());
+  mem.net_size.resize(m);
+  mem.net_hash.resize(m);
+  const VertexId* const fine_pins = m > 0 ? h.pins(0).data() : nullptr;
+  auto rewrite = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t e = begin; e < end; ++e) {
+      const std::span<const VertexId> pins = h.pins(static_cast<EdgeId>(e));
+      VertexId* const out = mem.net_pins.data() + (pins.data() - fine_pins);
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        out[i] = result.fine_to_coarse[pins[i]];
+      }
+      std::sort(out, out + pins.size());
+      const std::size_t k =
+          static_cast<std::size_t>(std::unique(out, out + pins.size()) - out);
+      mem.net_size[e] = vp::checked_narrow<std::uint32_t>(k);
+      mem.net_hash[e] = hash_pins({out, k});
+    }
+  };
+  const std::size_t shards =
+      pool != nullptr ? std::min(pool->num_threads(), m) : 1;
+  if (shards > 1) {
+    pool->parallel_for_dynamic(shards, [&](std::size_t shard) {
+      const ShardRange r = shard_range(m, shards, shard);
+      rewrite(r.begin, r.end);
+    });
+  } else {
+    rewrite(0, m);
+  }
+
+  // Merge parallel nets (identical pin sets), in net order, via a flat
+  // linear-probing table over the pending-net list.  At most one pending
+  // net exists per distinct pin set at any time, so probing by exact pin
+  // comparison reproduces the historical hash-map-of-lists merge exactly.
+  VP_CHECK(m < kEmptySlot, "edge count fits table entries");
   std::size_t table_size = 16;
-  while (table_size < 2 * h.num_edges()) table_size <<= 1;
+  while (table_size < 2 * m) table_size <<= 1;
   mem.slots.assign(table_size, kEmptySlot);
   const std::size_t mask = table_size - 1;
   mem.pending.clear();
-  mem.pin_pool.clear();
-  std::vector<VertexId>& coarse_pins = mem.coarse_pins;
 
-  for (std::size_t e = 0; e < h.num_edges(); ++e) {
-    coarse_pins.clear();
-    for (const VertexId v : h.pins(static_cast<EdgeId>(e))) {
-      coarse_pins.push_back(result.fine_to_coarse[v]);
-    }
-    std::sort(coarse_pins.begin(), coarse_pins.end());
-    coarse_pins.erase(std::unique(coarse_pins.begin(), coarse_pins.end()),
-                      coarse_pins.end());
-    if (coarse_pins.size() < 2) {
+  for (std::size_t e = 0; e < m; ++e) {
+    const std::uint32_t size = mem.net_size[e];
+    if (size < 2) {
       ++result.nets_collapsed;
       continue;
     }
+    const std::size_t begin =
+        static_cast<std::size_t>(h.pins(static_cast<EdgeId>(e)).data() -
+                                 fine_pins);
+    const VertexId* const pins = mem.net_pins.data() + begin;
     const Weight ew = h.edge_weight(static_cast<EdgeId>(e));
-    std::size_t slot = static_cast<std::size_t>(hash_pins(coarse_pins)) & mask;
+    std::size_t slot = static_cast<std::size_t>(mem.net_hash[e]) & mask;
     while (true) {
       const std::uint32_t idx = mem.slots[slot];
       if (idx == kEmptySlot) {
-        // Pending-net count and per-net pin count are bounded by the fine
-        // edge/pin counts, which the id contract keeps below 2^32.
+        // The pending-net count is bounded by the fine edge count, which
+        // the id contract keeps below 2^32.
         mem.slots[slot] = vp::checked_narrow<std::uint32_t>(mem.pending.size());
-        mem.pending.push_back(
-            {mem.pin_pool.size(),
-             vp::checked_narrow<std::uint32_t>(coarse_pins.size()), ew});
-        mem.pin_pool.insert(mem.pin_pool.end(), coarse_pins.begin(),
-                            coarse_pins.end());
+        mem.pending.push_back({begin, size, ew});
         break;
       }
       ContractionMemory::PendingNet& net = mem.pending[idx];
-      if (net.pins_size == coarse_pins.size() &&
-          std::equal(coarse_pins.begin(), coarse_pins.end(),
-                     mem.pin_pool.begin() +
+      if (net.pins_size == size &&
+          std::equal(pins, pins + size,
+                     mem.net_pins.begin() +
                          static_cast<std::ptrdiff_t>(net.pins_begin))) {
         net.weight += ew;
         ++result.nets_merged;
@@ -126,7 +152,7 @@ ContractionResult contract(const Hypergraph& h,
 
   for (const ContractionMemory::PendingNet& net : mem.pending) {
     builder.add_edge(
-        std::span<const VertexId>(mem.pin_pool.data() + net.pins_begin,
+        std::span<const VertexId>(mem.net_pins.data() + net.pins_begin,
                                   net.pins_size),
         net.weight);
   }

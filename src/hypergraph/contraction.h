@@ -11,15 +11,20 @@
 // The implementation is allocation-free when the caller threads a
 // ContractionMemory through repeated calls (V-cycles, multistart ML):
 // cluster renumbering uses a dense array (cluster ids are vertex ids, so
-// they are bounded by num_vertices), pending-net pins live in one flat
-// pool, and parallel-net detection uses a flat open-addressing table —
-// no per-call unordered_map or per-net vector churn.
+// they are bounded by num_vertices), rewritten nets live in one flat
+// array indexed like the fine pins, and parallel-net detection uses a
+// flat open-addressing table — no per-call unordered_map or per-net
+// vector churn.  The per-net rewrite (map, sort, dedup, hash) is
+// independent across nets and may be sharded over a ThreadPool; the
+// renumbering and the merge stay serial and in net order, so the result
+// is the same with or without a pool.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "src/hypergraph/hypergraph.h"
+#include "src/util/thread_pool.h"
 
 namespace vlsipart {
 
@@ -31,10 +36,12 @@ struct ContractionMemory {
   /// cluster id -> dense coarse id (kInvalidVertex = unseen).
   std::vector<VertexId> renumber;
   std::vector<Weight> cluster_weight;
-  /// Dedup'd coarse pins of the net currently being rewritten.
-  std::vector<VertexId> coarse_pins;
-  /// Flat pin storage of all surviving (pending) nets.
-  std::vector<VertexId> pin_pool;
+  /// Sorted, dedup'd coarse pins of every fine net, stored at the net's
+  /// fine pin offset (only the first net_size[e] entries are live).
+  std::vector<VertexId> net_pins;
+  std::vector<std::uint32_t> net_size;
+  std::vector<std::uint64_t> net_hash;
+  /// A surviving net; its pins are net_pins[pins_begin, +pins_size).
   struct PendingNet {
     std::size_t pins_begin = 0;
     std::uint32_t pins_size = 0;
@@ -63,10 +70,12 @@ struct ContractionResult {
 /// must be < num_vertices).  Edge weights of merged parallel nets are
 /// summed so that coarse cut equals fine cut for any partition that
 /// respects the clusters.  `memory` (optional) supplies reusable scratch;
-/// passing nullptr uses call-local buffers.
+/// passing nullptr uses call-local buffers.  `pool` (optional) shards the
+/// per-net rewrite; the result does not depend on it.
 ContractionResult contract(const Hypergraph& h,
                            const std::vector<VertexId>& cluster_of,
-                           ContractionMemory* memory = nullptr);
+                           ContractionMemory* memory = nullptr,
+                           ThreadPool* pool = nullptr);
 
 /// Project a coarse 2-way assignment back onto the fine hypergraph.
 std::vector<PartId> project_partition(

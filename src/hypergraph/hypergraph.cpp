@@ -1,6 +1,7 @@
 #include "src/hypergraph/hypergraph.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "src/util/checked_narrow.h"
@@ -86,18 +87,24 @@ void HypergraphBuilder::set_vertex_name(VertexId v, std::string name) {
 EdgeId HypergraphBuilder::add_edge(std::span<const VertexId> pins,
                                    Weight weight) {
   VP_CHECK(weight > 0, "edge weight must be positive");
-  scratch_.assign(pins.begin(), pins.end());
-  std::sort(scratch_.begin(), scratch_.end());
-  scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
-                 scratch_.end());
-  for (const VertexId v : scratch_) {
+  // Pins that are already strictly ascending (contraction output) are
+  // taken as they are; anything else is sorted and dedup'd first.
+  if (std::adjacent_find(pins.begin(), pins.end(),
+                         std::greater_equal<VertexId>()) != pins.end()) {
+    scratch_.assign(pins.begin(), pins.end());
+    std::sort(scratch_.begin(), scratch_.end());
+    scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
+                   scratch_.end());
+    pins = scratch_;
+  }
+  for (const VertexId v : pins) {
     VP_CHECK(v < vertex_weights_.size(), "edge pin in range");
   }
-  if (scratch_.size() < 2) return kInvalidEdge;
+  if (pins.size() < 2) return kInvalidEdge;
   // The new edge's id is the current edge count; checked_narrow enforces
   // that it stays below the kInvalidEdge sentinel.
   const auto id = vp::checked_narrow<EdgeId>(edge_weights_.size());
-  edge_pins_.insert(edge_pins_.end(), scratch_.begin(), scratch_.end());
+  edge_pins_.insert(edge_pins_.end(), pins.begin(), pins.end());
   edge_offsets_.push_back(edge_pins_.size());
   edge_weights_.push_back(weight);
   return id;

@@ -125,7 +125,10 @@ MultistartResult run_multistart(const PartitionProblem& problem,
     Weight best = kNoCut;
     for (std::size_t i = 0; i < num_starts; ++i) {
       Rng rng = base.fork(i);
-      ThreadCpuTimer timer;
+      // Process CPU, not the calling thread's: an engine with its own
+      // pool (coarsen_threads or refine_threads > 1) does part of the
+      // start on workers while this thread blocks.
+      CpuTimer timer;
       const Weight cut = partitioner.run(problem, rng, parts);
       StartRecord record;
       record.cut = cut;
@@ -372,7 +375,7 @@ MultistartResult run_multistart_budgeted(const PartitionProblem& problem,
     std::size_t i = 0;
     while (true) {
       Rng rng = base.fork(i);
-      ThreadCpuTimer timer;
+      CpuTimer timer;  // process CPU, as in run_multistart's serial path
       const Weight cut = partitioner.run(problem, rng, parts);
       StartRecord record;
       record.cut = cut;

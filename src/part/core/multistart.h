@@ -20,9 +20,12 @@
 //     index order, so the admitted prefix does not depend on the thread
 //     count (the prefix length still depends on measured CPU times, as it
 //     always has in the serial path).
-// Per-start cpu_seconds uses the *thread* CPU clock; wall_seconds is the
-// harness wall-clock — the quantity parallelism improves.  See DESIGN.md
-// ("Threading model").
+// Per-start cpu_seconds uses the process CPU clock when starts run one
+// at a time in run_multistart / run_multistart_budgeted (so an engine's
+// own pool workers are charged) and the *thread* CPU clock when starts
+// run concurrently; wall_seconds is the harness wall-clock — the
+// quantity parallelism improves.  See DESIGN.md
+// ("Threading model") and src/util/timer.h.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +46,12 @@ struct MultistartResult {
   std::vector<StartRecord> starts;
   std::vector<PartId> best_parts;
   Weight best_cut = 0;
-  /// Sum of per-start thread-CPU seconds — the paper's CPU-time axis;
-  /// invariant (up to timer noise) under the thread count.
+  /// Sum of per-start CPU seconds — the paper's CPU-time axis;
+  /// invariant (up to timer noise) under the thread count only for
+  /// engines without their own pool.  The serial loops charge process
+  /// CPU and the parallel loops thread CPU, so an engine with
+  /// coarsen_threads / refine_threads > 1 reports more CPU at 1 thread
+  /// than at N (see src/util/timer.h).
   double total_cpu_seconds = 0.0;
   /// Wall-clock of the whole harness call; shrinks with more threads.
   double wall_seconds = 0.0;
@@ -109,10 +116,14 @@ PrunedMultistartResult run_multistart_pruned(const PartitionProblem& problem,
 /// algorithm is expected to achieve in a multistart regime, versus the
 /// given CPU time budget tau").  A cap of `max_starts` bounds the run on
 /// very fast instances (0 = unbounded).  The parallel path runs starts
-/// speculatively and then admits the same prefix the serial rule would:
-/// the minimal prefix whose accumulated per-start CPU reaches the budget
-/// (or the max_starts cap); speculative starts past the cutoff are
-/// discarded and charged to neither the records nor total_cpu_seconds.
+/// speculatively and then admits the minimal prefix whose accumulated
+/// per-start CPU reaches the budget (or the max_starts cap); speculative
+/// starts past the cutoff are discarded and charged to neither the
+/// records nor total_cpu_seconds.  That is the serial rule's prefix for
+/// engines without their own pool.  With one (coarsen_threads /
+/// refine_threads > 1) the serial path charges process CPU and the
+/// parallel path thread CPU, so the serial path reaches the budget after
+/// fewer starts (see src/util/timer.h).
 MultistartResult run_multistart_budgeted(const PartitionProblem& problem,
                                          Bipartitioner& partitioner,
                                          double cpu_budget_seconds,

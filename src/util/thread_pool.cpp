@@ -82,13 +82,17 @@ void ThreadPool::parallel_for_dynamic(
   };
   Shared shared;
   const std::size_t drivers = std::min(num_threads(), n);
-  // Published to the driver tasks only by the submit() calls below,
-  // which synchronize through the pool mutex.
+  // Published to the driver tasks only through the queue below, which
+  // synchronizes through the pool mutex.
   // det-lint: allow(lock-discipline)
   shared.drivers_left = drivers;
 
+  // Enqueue every driver under one lock and wake the workers with one
+  // notify: a wake per driver would cost the calling thread a syscall
+  // each, which dominates short rounds.
+  std::unique_lock<std::mutex> queue_lock(mutex_);
   for (std::size_t w = 0; w < drivers; ++w) {
-    submit([&shared, &body, w, n] {
+    queue_.push_back([&shared, &body, w, n](std::size_t /*worker*/) {
       while (!shared.failed.load(std::memory_order_relaxed)) {
         const std::size_t i =
             shared.next.fetch_add(1, std::memory_order_relaxed);
@@ -104,6 +108,12 @@ void ThreadPool::parallel_for_dynamic(
       std::lock_guard<std::mutex> lock(shared.mutex);
       if (--shared.drivers_left == 0) shared.done_cv.notify_all();
     });
+  }
+  queue_lock.unlock();
+  if (drivers == num_threads()) {
+    work_available_.notify_all();
+  } else {
+    for (std::size_t w = 0; w < drivers; ++w) work_available_.notify_one();
   }
 
   std::unique_lock<std::mutex> lock(shared.mutex);

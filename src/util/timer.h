@@ -4,10 +4,17 @@
 // opposed to coarser-grain quanta such as 'number of starts'" (Sec. 3.2).
 // Timer exposes wall, process-CPU and per-thread-CPU readings so harnesses
 // can report whichever is appropriate.  Per-start costs in multistart
-// harnesses use the *thread* CPU clock so the paper's CPU-time axes stay
-// meaningful when starts run concurrently (process CPU would charge every
-// start for all threads' work); wall clock measures the harness itself
-// (the quantity parallelism actually improves).
+// harnesses use the *thread* CPU clock when starts run concurrently
+// (process CPU would charge every start for all threads' work) and the
+// process CPU clock in the serial run_multistart / run_multistart_budgeted
+// loops, so an engine that fans a start out over its own pool
+// (coarsen_threads / refine_threads > 1) is charged for its workers.
+// Two cases remain inexact: parallel multistart over engines with their
+// own pools still leaves those pools' workers out (under-reports), and a
+// serial multistart sharing the process with other busy threads — e.g.
+// concurrent vpartd jobs — is charged for their work too
+// (over-reports).  Wall clock measures the harness itself (the quantity
+// parallelism actually improves).
 #pragma once
 
 #include <chrono>

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include "src/gen/netlist_gen.h"
+#include "src/part/core/initial.h"
 #include "src/part/core/multistart.h"
 #include "src/part/core/partitioner.h"
+#include "src/util/thread_pool.h"
+#include "src/util/timer.h"
 
 namespace vlsipart {
 namespace {
@@ -13,6 +16,48 @@ PartitionProblem make_problem(const Hypergraph& h, double tol) {
   p.graph = &h;
   p.balance = BalanceConstraint::from_tolerance(h.total_vertex_weight(), tol);
   return p;
+}
+
+/// An engine that does its start's work on its own pool worker while the
+/// calling thread blocks — the shape of ML with coarsen_threads or
+/// refine_threads > 1.
+class PoolBurnPartitioner final : public Bipartitioner {
+ public:
+  std::string name() const override { return "pool-burn"; }
+  Weight run(const PartitionProblem& problem, Rng& rng,
+             std::vector<PartId>& parts) override {
+    pool_.submit([this] {
+      const double begin = thread_cpu_seconds();
+      volatile std::uint64_t sink = 0;
+      while (thread_cpu_seconds() - begin < 0.05) {
+        for (std::uint64_t i = 0; i < 10000; ++i) sink = sink + i;
+      }
+      worker_cpu_ = thread_cpu_seconds() - begin;
+    });
+    pool_.wait_idle();
+    parts = random_initial(problem, rng);
+    return compute_cut(*problem.graph, parts);
+  }
+  double worker_cpu() const { return worker_cpu_; }
+
+ private:
+  ThreadPool pool_{1};
+  double worker_cpu_ = 0.0;
+};
+
+TEST(Multistart, SerialStartIsChargedForEnginePoolWorkers) {
+  const Hypergraph h = generate_netlist(preset("tiny"));
+  const PartitionProblem p = make_problem(h, 0.1);
+  PoolBurnPartitioner engine;
+  const MultistartResult r = run_multistart(p, engine, 1, 7);
+  ASSERT_EQ(r.starts.size(), 1u);
+  ASSERT_GT(engine.worker_cpu(), 0.0);
+  EXPECT_GE(r.starts[0].cpu_seconds, 0.9 * engine.worker_cpu());
+
+  const MultistartResult budgeted =
+      run_multistart_budgeted(p, engine, 0.0, 7, /*max_starts=*/1);
+  ASSERT_EQ(budgeted.starts.size(), 1u);
+  EXPECT_GE(budgeted.starts[0].cpu_seconds, 0.9 * engine.worker_cpu());
 }
 
 TEST(Multistart, RecordsEveryStart) {

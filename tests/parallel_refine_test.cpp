@@ -6,6 +6,8 @@
 // lemma made executable), on real instances across a config matrix —
 // full kept-move traces, round stats and final assignments digested and
 // compared, plus the complete ML pipeline with both engines enabled.
+// Quality gates hold the parallel coarsener to the serial one: coarsest
+// level within 1.5x, and ML cuts over seeds not significantly worse.
 // Alongside the invariance suites, a seeded fuzz harness drives the
 // prefix-scan commit with adversarial proposal lists (duplicates, fixed
 // vertices, stale gains, tight balance windows) and audits the state
@@ -14,8 +16,10 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/eval/significance.h"
 #include "src/gen/netlist_gen.h"
 #include "src/part/core/initial.h"
 #include "src/part/core/parallel_refine.h"
@@ -379,6 +383,106 @@ TEST(ParallelCoarsen, ReducesInstanceSize) {
   ASSERT_FALSE(levels.empty());
   EXPECT_LE(levels.back().coarse.num_vertices(), h.num_vertices() / 2);
   for (const CoarsenLevel& level : levels) level.coarse.validate();
+}
+
+// The pool only shards contract()'s per-net rewrite: every net, pin,
+// weight and counter must equal the serial contraction's.
+TEST(ParallelCoarsen, ShardedContractionMatchesSerial) {
+  const Hypergraph h = generate_netlist(preset("medium"));
+  std::vector<VertexId> clusters(h.num_vertices());
+  for (std::size_t v = 0; v < clusters.size(); ++v) {
+    clusters[v] = static_cast<VertexId>(v - v % 3);
+  }
+  const ContractionResult serial = contract(h, clusters);
+  ASSERT_GT(serial.nets_merged, 0u);
+  for (const std::size_t t : {2, 3, 8}) {
+    ThreadPool pool(t);
+    ContractionMemory memory;
+    const ContractionResult sharded = contract(h, clusters, &memory, &pool);
+    EXPECT_EQ(sharded.fine_to_coarse, serial.fine_to_coarse);
+    EXPECT_EQ(sharded.nets_collapsed, serial.nets_collapsed);
+    EXPECT_EQ(sharded.nets_merged, serial.nets_merged);
+    ASSERT_EQ(sharded.coarse.num_edges(), serial.coarse.num_edges());
+    for (std::size_t e = 0; e < serial.coarse.num_edges(); ++e) {
+      const auto id = static_cast<EdgeId>(e);
+      EXPECT_EQ(sharded.coarse.edge_weight(id), serial.coarse.edge_weight(id));
+      const auto sp = serial.coarse.pins(id);
+      const auto pp = sharded.coarse.pins(id);
+      ASSERT_TRUE(std::equal(sp.begin(), sp.end(), pp.begin(), pp.end()))
+          << "net " << e << " at " << t << " threads";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Quality gates against the serial coarsener.  Bit-identity across
+// thread counts says nothing about quality: a coarsener that contracted
+// only mutual-preference pairs passed every invariance test while its
+// hierarchy stalled at 5-6x the serial coarsest size and ML cuts came
+// out several times worse.
+
+/// The gate instances: `medium` plus ibm01/05/10 at a small scale.
+std::vector<std::pair<std::string, Hypergraph>> quality_gate_instances() {
+  std::vector<std::pair<std::string, Hypergraph>> out;
+  out.emplace_back("medium", generate_netlist(preset("medium")));
+  for (const char* const name : {"ibm01", "ibm05", "ibm10"}) {
+    out.emplace_back(name, generate_netlist(preset(name).scaled(0.1)));
+  }
+  return out;
+}
+
+std::size_t coarsest_vertices(const Hypergraph& h,
+                              const std::vector<CoarsenLevel>& levels) {
+  return levels.empty() ? h.num_vertices()
+                        : levels.back().coarse.num_vertices();
+}
+
+TEST(ParallelCoarsen, CoarsestLevelWithinBoundOfSerial) {
+  ThreadPool pool(2);
+  for (const auto& [name, h] : quality_gate_instances()) {
+    for (const CoarsenScheme scheme :
+         {CoarsenScheme::kHeavyEdgeMatching, CoarsenScheme::kFirstChoice}) {
+      CoarsenConfig config;
+      config.scheme = scheme;
+      Sample serial;
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        Rng rng(seed);
+        serial.add(static_cast<double>(
+            coarsest_vertices(h, build_hierarchy(h, config, {}, {}, rng))));
+      }
+      const std::size_t parallel = coarsest_vertices(
+          h, parallel_build_hierarchy(h, config, {}, {}, &pool));
+      EXPECT_LE(static_cast<double>(parallel), 1.5 * serial.median())
+          << name << " scheme " << static_cast<int>(scheme);
+    }
+  }
+}
+
+TEST(ParallelCoarsen, MlCutNotSignificantlyWorseThanSerial) {
+  for (const auto& [name, h] : quality_gate_instances()) {
+    if (name == "medium") continue;
+    const PartitionProblem p = make_problem(h, 0.02);
+    MlConfig serial_config;
+    MlConfig parallel_config;
+    parallel_config.coarsen.coarsen_threads = 2;
+    MlPartitioner serial_engine(serial_config);
+    MlPartitioner parallel_engine(parallel_config);
+    Sample serial;
+    Sample parallel;
+    std::vector<PartId> parts;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      Rng serial_rng(seed);
+      serial.add(static_cast<double>(serial_engine.run(p, serial_rng, parts)));
+      Rng parallel_rng(seed);
+      parallel.add(
+          static_cast<double>(parallel_engine.run(p, parallel_rng, parts)));
+    }
+    const TestResult test = mann_whitney_u(serial, parallel);
+    EXPECT_FALSE(parallel.median() > serial.median() &&
+                 test.significant_at(0.05))
+        << name << ": parallel median " << parallel.median()
+        << " vs serial " << serial.median() << ", p=" << test.p_value;
+  }
 }
 
 // ---------------------------------------------------------------------
