@@ -1,8 +1,8 @@
-// Engine-tier comparison: the five --engine choices of vpart (flat LIFO,
-// flat CLIP, ML, n-level, memetic) head to head on ibm-class instances —
-// min/avg cut and CPU per engine at equal multistart budgets, plus each
-// engine's best-seen cut so the n-level/evo acceptance bar ("beat the
-// flat-FM best seen") is read straight off the table.
+// Engine-tier comparison: the four --engine choices of vpart (flat LIFO,
+// flat CLIP, ML, memetic) head to head on ibm-class instances — min/avg
+// cut and CPU per engine at equal multistart budgets, plus each engine's
+// best-seen cut so the evo acceptance bar ("beat the flat-FM best seen")
+// is read straight off the table.
 //
 // The evo engine runs fewer starts (each start is an entire population
 // evolution, ~population + generations*offspring ML descents); its
@@ -15,7 +15,6 @@
 
 #include "bench/bench_common.h"
 #include "src/part/evo/evo_partitioner.h"
-#include "src/part/nlevel/nlevel_partitioner.h"
 
 using namespace vlsipart;
 using namespace vlsipart::bench;
@@ -40,7 +39,7 @@ int main(int argc, char** argv) {
     std::size_t runs_divisor;  // evo amortizes many ML descents per start
   };
   const EngineSpec specs[] = {
-      {"flat", 1}, {"clip", 1}, {"ml", 1}, {"nlevel", 1}, {"evo", 4},
+      {"flat", 1}, {"clip", 1}, {"ml", 1}, {"evo", 4},
   };
 
   std::vector<std::string> header = {"Engine", "Metric"};
@@ -62,10 +61,6 @@ int main(int argc, char** argv) {
         engine = std::make_unique<FlatFmPartitioner>(opt.apply(our_clip()));
       } else if (std::string(spec.name) == "ml") {
         engine = std::make_unique<MlPartitioner>(ml_config(our_lifo(), opt));
-      } else if (std::string(spec.name) == "nlevel") {
-        NlevelConfig config;
-        config.refine = opt.apply(our_lifo());
-        engine = std::make_unique<NlevelPartitioner>(config);
       } else {
         EvoConfig config;
         config.ml = ml_config(our_lifo(), opt);

@@ -16,7 +16,6 @@
 #include "src/part/evo/evo_partitioner.h"
 #include "src/part/ml/coarsen.h"
 #include "src/part/ml/parallel_coarsen.h"
-#include "src/part/nlevel/nlevel_graph.h"
 #include "src/util/prefetch.h"
 #include "src/util/thread_pool.h"
 
@@ -223,7 +222,8 @@ BENCHMARK(BM_PinWalkPrefetch)->Arg(0)->Arg(1);
 // ctest enforces that); the arg sweep measures the round protocol's
 // scaling — freeze/propose fan out over vertex shards, the prefix-scan
 // commit stays serial.  On single-core runners the >1 args measure pure
-// round-protocol overhead over the 1-thread-pool case.
+// round-protocol overhead over the 1-thread-pool case.  cpu_time is
+// process CPU, so the pool workers' share counts, not only the caller's.
 void BM_ParallelRefine(benchmark::State& state) {
   const Hypergraph h = generate_netlist(preset("medium"));
   PartitionProblem p;
@@ -246,10 +246,12 @@ BENCHMARK(BM_ParallelRefine)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // Deterministic parallel heavy-edge coarsening, one level, at Arg(0)
 // threads: the rating phase shards over vertices, resolution is serial.
+// cpu_time is process CPU (every pool thread), as for BM_ParallelRefine.
 void BM_ParallelCoarsenOneLevel(benchmark::State& state) {
   const Hypergraph h = generate_netlist(preset("medium"));
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
@@ -264,6 +266,7 @@ BENCHMARK(BM_ParallelCoarsenOneLevel)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_CoarsenOneLevel(benchmark::State& state) {
@@ -276,35 +279,6 @@ void BM_CoarsenOneLevel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoarsenOneLevel)->Unit(benchmark::kMillisecond);
-
-// The n-level undo log: contract a random half of the medium instance
-// one vertex at a time (untimed), then time the full uncontraction
-// unwind — the per-uncontraction cost is what keeps n-level viable
-// (O(degree of the split vertex), no graph rebuilds).
-void BM_NlevelUncontract(benchmark::State& state) {
-  const Hypergraph h = generate_netlist(preset("medium"));
-  NlevelGraph g;
-  // Deterministic contraction schedule, precomputed once: pair vertex
-  // 2i+1 into 2i (both always active at contraction time).
-  std::vector<std::pair<VertexId, VertexId>> schedule;
-  for (VertexId u = 0; u + 1 < h.num_vertices(); u += 2) {
-    schedule.push_back({u, static_cast<VertexId>(u + 1)});
-  }
-  std::vector<EdgeId> reactivated;
-  for (auto _ : state) {
-    state.PauseTiming();
-    g.bind(h);
-    for (const auto& [u, v] : schedule) g.contract(u, v);
-    state.ResumeTiming();
-    while (g.num_contractions() > 0) {
-      reactivated.clear();
-      benchmark::DoNotOptimize(g.uncontract(&reactivated));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(schedule.size()));
-}
-BENCHMARK(BM_NlevelUncontract)->Unit(benchmark::kMillisecond);
 
 // One memetic generation over a seeded population on the tiny instance:
 // the steady-state cost of the evolutionary loop (offspring V-cycles +

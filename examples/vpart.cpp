@@ -12,7 +12,7 @@
 // Options:
 //   --k 2           number of parts (k > 2 uses recursive bisection)
 //   --tolerance 0.02
-//   --engine ml|flat|clip|nlevel|evo   (default ml; --help lists them)
+//   --engine ml|flat|clip|evo   (default ml; --help lists them)
 //   --starts 4      independent starts (best kept)
 //   --vcycles 1     V-cycles applied to the best result (k = 2 only)
 //   --seed 1
@@ -28,10 +28,6 @@
 // Multilevel knobs (ml engine):
 //   --initial-tries N  --coarsen-to N  --min-reduction X
 //   --coarsen-threads N (1 = serial; >1 = deterministic parallel rating)
-// n-level knobs (nlevel engine; shares --coarsen-to/--initial-tries):
-//   --max-cluster-weight W  --max-rated-net-size N
-//   --local-moves-past-best N  --final-refine 0|1
-//   --initial-scheme random|bfs|mixed
 // Memetic knobs (evo engine; nests the full ml surface):
 //   --population N  --generations N  --offspring N
 //   --mutation-period N  --mutation-size N  --evo-threads N
@@ -50,7 +46,6 @@
 #include "src/part/evo/evo_partitioner.h"
 #include "src/part/kway/recursive_bisection.h"
 #include "src/part/ml/ml_partitioner.h"
-#include "src/part/nlevel/nlevel_partitioner.h"
 #include "src/util/cli.h"
 #include "src/util/table.h"
 #include "src/util/timer.h"
@@ -69,8 +64,6 @@ constexpr EngineInfo kEngines[] = {
     {"ml", "multilevel FM (hMetis-like: coarsen, refine, V-cycle the best)"},
     {"flat", "flat FM with LIFO gain buckets (the paper's baseline)"},
     {"clip", "flat FM with CLIP gain keys and corking"},
-    {"nlevel",
-     "n-level: one contraction per level, localized FM per uncontraction"},
     {"evo",
      "memetic: population of ml starts evolved by recombination V-cycles"},
 };
@@ -190,11 +183,8 @@ int main(int argc, char** argv) {
                       "max-passes", "max-moves-past-best", "audit",
                       "audit-every", "initial-tries", "coarsen-to",
                       "min-reduction", "refine-threads", "coarsen-threads",
-                      "max-cluster-weight", "max-rated-net-size",
-                      "local-moves-past-best", "final-refine",
-                      "initial-scheme", "population", "generations",
-                      "offspring", "mutation-period", "mutation-size",
-                      "evo-threads"});
+                      "population", "generations", "offspring",
+                      "mutation-period", "mutation-size", "evo-threads"});
     if (args.get_bool("help")) {
       print_help();
       return 0;
@@ -249,34 +239,6 @@ int main(int argc, char** argv) {
             run_hmetis_like(problem, engine, starts, vcycles, seed);
         parts = r.best_parts;
         cut = r.best_cut;
-      } else if (engine_name == "nlevel") {
-        NlevelConfig config;
-        config.refine = fm;
-        config.coarsen_to = static_cast<std::size_t>(args.get_int(
-            "coarsen-to", static_cast<std::int64_t>(config.coarsen_to)));
-        config.max_cluster_weight = args.get_int(
-            "max-cluster-weight", config.max_cluster_weight);
-        config.max_rated_net_size = static_cast<std::size_t>(args.get_int(
-            "max-rated-net-size",
-            static_cast<std::int64_t>(config.max_rated_net_size)));
-        config.initial_tries = static_cast<std::size_t>(args.get_int(
-            "initial-tries",
-            static_cast<std::int64_t>(config.initial_tries)));
-        config.initial_scheme = parse_choice(args, "initial-scheme",
-                                             {{"random", InitialScheme::kRandom},
-                                              {"bfs", InitialScheme::kBfs},
-                                              {"mixed", InitialScheme::kMixed}},
-                                             config.initial_scheme);
-        config.local_moves_past_best = static_cast<std::size_t>(args.get_int(
-            "local-moves-past-best",
-            static_cast<std::int64_t>(config.local_moves_past_best)));
-        config.final_refine = args.get_bool("final-refine",
-                                            config.final_refine);
-        NlevelPartitioner engine(config);
-        const MultistartResult r =
-            run_multistart(problem, engine, starts, seed);
-        parts = r.best_parts;
-        cut = r.best_cut;
       } else if (engine_name == "evo") {
         EvoConfig config;
         config.ml = ml_config_from_args(args, fm);
@@ -317,11 +279,10 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else {
-      if (engine_name == "nlevel" || engine_name == "evo") {
+      if (engine_name == "evo") {
         throw std::runtime_error(
-            "--engine " + engine_name +
-            " is a bipartitioner; k > 2 (recursive bisection) supports "
-            "ml|flat|clip");
+            "--engine evo is a bipartitioner; k > 2 (recursive bisection) "
+            "supports ml|flat|clip");
       }
       KwayConfig config;
       config.k = k;

@@ -27,8 +27,8 @@ namespace {
 /// The structs under contract — the knobs of the FM engine, the
 /// multilevel pipeline, the multistart harness and the service layer.
 const char* const kTargetStructs[] = {
-    "FmConfig",    "MlConfig",    "CoarsenConfig", "PruneConfig",
-    "AuditConfig", "ServiceConfig", "NlevelConfig", "EvoConfig",
+    "FmConfig",    "MlConfig",      "CoarsenConfig", "PruneConfig",
+    "AuditConfig", "ServiceConfig", "EvoConfig",
 };
 
 bool is_target_struct(const std::string& name) {

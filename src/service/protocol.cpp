@@ -118,13 +118,13 @@ bool parse_submit(const JsonValue& request, SubmitRequest& out,
     out.engine = v->as_string();
   }
   if (out.engine != "ml" && out.engine != "flat" && out.engine != "clip" &&
-      out.engine != "nlevel" && out.engine != "evo") {
+      out.engine != "evo") {
     if (error != nullptr) {
-      *error = "engine must be one of ml|flat|clip|nlevel|evo";
+      *error = "engine must be one of ml|flat|clip|evo";
     }
     return false;
   }
-  if ((out.engine == "nlevel" || out.engine == "evo") && out.k != 2) {
+  if (out.engine == "evo" && out.k != 2) {
     if (error != nullptr) {
       *error = "engine " + out.engine + " is a bipartitioner (k must be 2)";
     }

@@ -61,7 +61,7 @@ struct SubmitRequest {
   InstanceSpec instance;
   std::size_t k = 2;
   double tolerance = 0.02;
-  std::string engine = "ml";  // ml | flat | clip | nlevel | evo
+  std::string engine = "ml";  // ml | flat | clip | evo
   std::size_t starts = 4;
   std::size_t vcycles = 1;    // k == 2, ml engine only
   /// Memetic knobs (evo engine only; ignored — but still part of the

@@ -14,7 +14,6 @@
 #include "src/part/evo/evo_partitioner.h"
 #include "src/part/kway/recursive_bisection.h"
 #include "src/part/ml/ml_partitioner.h"
-#include "src/part/nlevel/nlevel_partitioner.h"
 #include "src/service/hash.h"
 #include "src/util/shutdown.h"
 #include "src/util/timer.h"
@@ -64,15 +63,13 @@ struct WorkerEngines {
   MlPartitioner ml;
   FlatFmPartitioner flat;
   FlatFmPartitioner clip;
-  NlevelPartitioner nlevel;
 
   WorkerEngines(std::size_t refine, std::size_t coarsen)
       : refine_threads(refine == 0 ? 1 : refine),
         coarsen_threads(coarsen == 0 ? 1 : coarsen),
         ml(make_ml_config(refine_threads, coarsen_threads)),
         flat(make_fm_config(/*clip_mode=*/false, refine_threads)),
-        clip(make_fm_config(/*clip_mode=*/true, refine_threads)),
-        nlevel(NlevelConfig{}) {}
+        clip(make_fm_config(/*clip_mode=*/true, refine_threads)) {}
 
   static FmConfig make_fm_config(bool clip_mode, std::size_t threads) {
     FmConfig fm;
@@ -115,8 +112,6 @@ ExecOutcome execute_request(const SubmitRequest& req, const Hypergraph& h,
     if (req.engine == "ml") {
       r = run_hmetis_like(problem, engines.ml, req.starts, req.vcycles,
                           req.seed);
-    } else if (req.engine == "nlevel") {
-      r = run_multistart(problem, engines.nlevel, req.starts, req.seed);
     } else if (req.engine == "evo") {
       // population/generations are per-request, so the evo engine is
       // constructed per job (the resident ML engines it wraps are the

@@ -110,7 +110,7 @@ TEST(EvoDeterminism, BitIdenticalAcrossMultistartThreadCounts) {
 }
 
 // Golden digests over the (instance x seed) matrix, pinned from the
-// first run (same policy as fm_golden_trace_test / nlevel_test).
+// first run (same policy as fm_golden_trace_test).
 struct GoldenEntry {
   const char* instance;
   std::uint64_t seed;
@@ -173,7 +173,9 @@ TEST(EvoFuzz, RecombinationVcycleRespectsConstraints) {
     EXPECT_EQ(after, compute_cut(h, child)) << "seed " << seed;
     EXPECT_TRUE(check_solution(p, child).empty()) << "seed " << seed;
     for (std::size_t v = 0; v < fixed.size(); ++v) {
-      if (fixed[v] != kNoPart) EXPECT_EQ(child[v], fixed[v]);
+      if (fixed[v] != kNoPart) {
+        EXPECT_EQ(child[v], fixed[v]);
+      }
     }
   }
 }

@@ -13,7 +13,7 @@
 //   --op submit|stats|ping|shutdown  (default submit)
 //   --case NAME / --hgr F / --ispd98 P   instance source
 //   --scale 0.5  --gen-seed 0        synthetic preset shaping
-//   --k 2  --tolerance 0.02  --engine ml|flat|clip|nlevel|evo
+//   --k 2  --tolerance 0.02  --engine ml|flat|clip|evo
 //   --starts 4  --vcycles 1  --seed 1
 //   --population 6  --generations 8   (evo engine)
 //   --deadline-ms 0                  queue-time budget (0 = none)
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     request.tolerance = args.get_double("tolerance", 0.02);
     request.engine = CliArgs::check_known_value(
         "engine", args.get("engine", "ml"),
-        {"ml", "flat", "clip", "nlevel", "evo"});
+        {"ml", "flat", "clip", "evo"});
     request.starts = static_cast<std::size_t>(args.get_int("starts", 4));
     request.vcycles = static_cast<std::size_t>(args.get_int("vcycles", 1));
     request.population =
