@@ -10,11 +10,12 @@
 //   --threads T               worker threads for multistart harnesses
 //                             (default 1 = serial; results are bit-identical
 //                             at any T, see DESIGN.md "Threading model")
-//   --refine-threads N        intra-run refinement threads (default 1 =
-//                             serial FM; >1 = the synchronous-round
-//                             parallel engine, bit-identical at any N > 1)
-//   --coarsen-threads N       intra-run coarsening threads (default 1 =
-//                             serial; >1 = deterministic parallel rating)
+//   --refine-threads N        refinement engine (default 1 = serial FM;
+//                             >1 = the synchronous-round engine, run on
+//                             the calling thread, same result at any N > 1)
+//   --coarsen-threads N       coarsening engine (default 1 = serial; >1 =
+//                             deterministic sub-rounds on the calling
+//                             thread)
 //   --full                    paper-faithful sizes and run counts
 //   --csv                     emit CSV instead of aligned text
 //   --json PATH               also append every emitted table to PATH as

@@ -17,7 +17,6 @@
 #include "src/part/ml/coarsen.h"
 #include "src/part/ml/parallel_coarsen.h"
 #include "src/util/prefetch.h"
-#include "src/util/thread_pool.h"
 
 namespace vlsipart {
 namespace {
@@ -217,55 +216,42 @@ void BM_PinWalkPrefetch(benchmark::State& state) {
 }
 BENCHMARK(BM_PinWalkPrefetch)->Arg(0)->Arg(1);
 
-// Synchronous-round parallel refinement at Arg(0) threads on a medium
-// instance.  The result is bit-identical at every arg (the determinism
-// ctest enforces that); the arg sweep measures the round protocol's
-// scaling — freeze/propose fan out over vertex shards, the prefix-scan
-// commit stays serial.  On single-core runners the >1 args measure pure
-// round-protocol overhead over the 1-thread-pool case.  cpu_time is
-// process CPU, so the pool workers' share counts, not only the caller's.
+// Synchronous-round refinement (the refine_threads > 1 engine) on a
+// medium instance.  The engine runs on the calling thread, so one row
+// covers every thread setting.  cpu_time is process CPU, so work moved
+// off the calling thread would still be counted.
 void BM_ParallelRefine(benchmark::State& state) {
   const Hypergraph h = generate_netlist(preset("medium"));
   PartitionProblem p;
   p.graph = &h;
   p.balance =
       BalanceConstraint::from_tolerance(h.total_vertex_weight(), 0.02);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::uint64_t seed = 0;
   for (auto _ : state) {
     Rng rng(++seed);
     auto parts = random_initial(p, rng);
     PartitionState s(h);
     s.assign(parts);
-    ParallelFmRefiner refiner(p, FmConfig{}, &pool);
+    ParallelFmRefiner refiner(p, FmConfig{}, nullptr);
     benchmark::DoNotOptimize(refiner.refine(s, rng));
   }
 }
 BENCHMARK(BM_ParallelRefine)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
-// Deterministic parallel heavy-edge coarsening, one level, at Arg(0)
-// threads: the rating phase shards over vertices, resolution is serial.
-// cpu_time is process CPU (every pool thread), as for BM_ParallelRefine.
+// Deterministic sub-round coarsening (the coarsen_threads > 1 engine),
+// one level; runs on the calling thread.  cpu_time is process CPU, as
+// for BM_ParallelRefine.
 void BM_ParallelCoarsenOneLevel(benchmark::State& state) {
   const Hypergraph h = generate_netlist(preset("medium"));
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   ContractionMemory memory;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        parallel_coarsen_once(h, CoarsenConfig{}, {}, {}, &pool, &memory));
+        parallel_coarsen_once(h, CoarsenConfig{}, {}, {}, &memory));
   }
 }
 BENCHMARK(BM_ParallelCoarsenOneLevel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -24,10 +24,12 @@
 //   --lookahead R   --lookahead-scan N
 //   --max-passes N  --max-moves-past-best N  --exclude-oversized
 //   --audit off|pass|moves  --audit-every N
-//   --refine-threads N  (1 = serial FM; >1 = synchronous-round parallel)
+//   --refine-threads N  (1 = serial FM; >1 = synchronous-round engine,
+//                        run on the calling thread)
 // Multilevel knobs (ml engine):
 //   --initial-tries N  --coarsen-to N  --min-reduction X
-//   --coarsen-threads N (1 = serial; >1 = deterministic parallel rating)
+//   --coarsen-threads N (1 = serial; >1 = deterministic sub-rounds, run
+//                        on the calling thread)
 // Memetic knobs (evo engine; nests the full ml surface):
 //   --population N  --generations N  --offspring N
 //   --mutation-period N  --mutation-size N  --evo-threads N
@@ -189,6 +191,16 @@ int main(int argc, char** argv) {
       print_help();
       return 0;
     }
+    // Validate the engine choice before reading or generating the
+    // instance, so a typo fails fast even on a large netlist.
+    const std::string engine_name = CliArgs::check_known_value(
+        "engine", args.get("engine", "ml"), engine_names());
+    const auto k = static_cast<std::size_t>(args.get_int("k", 2));
+    if (k != 2 && engine_name == "evo") {
+      throw std::runtime_error(
+          "--engine evo is a bipartitioner; k > 2 (recursive bisection) "
+          "supports ml|flat|clip");
+    }
     Hypergraph h;
     std::string source;
     if (args.has("hgr")) {
@@ -205,15 +217,12 @@ int main(int argc, char** argv) {
     }
     std::printf("%s\n\n", compute_stats(h).to_string(h.name()).c_str());
 
-    const auto k = static_cast<std::size_t>(args.get_int("k", 2));
     // hMetis "UBfactor" parity: UBfactor b means parts within
     // (50 +- b)% of the total, i.e. tolerance = 2b/100.
     double tolerance = args.get_double("tolerance", 0.02);
     if (args.has("ubfactor")) {
       tolerance = 2.0 * args.get_double("ubfactor", 1.0) / 100.0;
     }
-    const std::string engine_name = CliArgs::check_known_value(
-        "engine", args.get("engine", "ml"), engine_names());
     const auto starts = static_cast<std::size_t>(args.get_int("starts", 4));
     const auto vcycles =
         static_cast<std::size_t>(args.get_int("vcycles", 1));
@@ -279,11 +288,6 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else {
-      if (engine_name == "evo") {
-        throw std::runtime_error(
-            "--engine evo is a bipartitioner; k > 2 (recursive bisection) "
-            "supports ml|flat|clip");
-      }
       KwayConfig config;
       config.k = k;
       config.tolerance = tolerance;

@@ -1,7 +1,9 @@
 // Parallel-round protocol rules for the synchronous-round engines
 // (parallel_refine.cpp, parallel_coarsen.cpp — any `parallel_*` unit).
 //
-// The round protocol's determinism lemma (src/util/shard.h) requires
+// The round protocol's determinism lemma — shards scan contiguous
+// ascending id ranges and their outputs are merged in range order, so
+// the merged stream is the same for any shard count — requires
 // that worker shards write only to slots they own: every write to a
 // captured array must be indexed by a variable derived from the
 // shard's contiguous range (the lambda's shard parameter, a loop

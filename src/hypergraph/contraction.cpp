@@ -6,7 +6,6 @@
 
 #include "src/util/checked_narrow.h"
 #include "src/util/logging.h"
-#include "src/util/shard.h"
 
 namespace vlsipart {
 namespace {
@@ -28,7 +27,7 @@ std::uint64_t hash_pins(std::span<const VertexId> pins) {
 
 ContractionResult contract(const Hypergraph& h,
                            const std::vector<VertexId>& cluster_of,
-                           ContractionMemory* memory, ThreadPool* pool) {
+                           ContractionMemory* memory) {
   VP_CHECK(cluster_of.size() == h.num_vertices(),
            "cluster map covers all vertices");
 
@@ -72,37 +71,24 @@ ContractionResult contract(const Hypergraph& h,
   }
 
   // Rewrite each net onto coarse ids: its sorted, dedup'd coarse pins
-  // land at the net's own fine pin offset in net_pins, so nets are
-  // independent and `pool` may shard them; the output does not depend
-  // on the sharding.
+  // land at the net's own fine pin offset in net_pins, so no net's
+  // rewrite touches another's slots.
   const std::size_t m = h.num_edges();
   mem.net_pins.resize(h.num_pins());
   mem.net_size.resize(m);
   mem.net_hash.resize(m);
   const VertexId* const fine_pins = m > 0 ? h.pins(0).data() : nullptr;
-  auto rewrite = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t e = begin; e < end; ++e) {
-      const std::span<const VertexId> pins = h.pins(static_cast<EdgeId>(e));
-      VertexId* const out = mem.net_pins.data() + (pins.data() - fine_pins);
-      for (std::size_t i = 0; i < pins.size(); ++i) {
-        out[i] = result.fine_to_coarse[pins[i]];
-      }
-      std::sort(out, out + pins.size());
-      const std::size_t k =
-          static_cast<std::size_t>(std::unique(out, out + pins.size()) - out);
-      mem.net_size[e] = vp::checked_narrow<std::uint32_t>(k);
-      mem.net_hash[e] = hash_pins({out, k});
+  for (std::size_t e = 0; e < m; ++e) {
+    const std::span<const VertexId> pins = h.pins(static_cast<EdgeId>(e));
+    VertexId* const out = mem.net_pins.data() + (pins.data() - fine_pins);
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      out[i] = result.fine_to_coarse[pins[i]];
     }
-  };
-  const std::size_t shards =
-      pool != nullptr ? std::min(pool->num_threads(), m) : 1;
-  if (shards > 1) {
-    pool->parallel_for_dynamic(shards, [&](std::size_t shard) {
-      const ShardRange r = shard_range(m, shards, shard);
-      rewrite(r.begin, r.end);
-    });
-  } else {
-    rewrite(0, m);
+    std::sort(out, out + pins.size());
+    const std::size_t k =
+        static_cast<std::size_t>(std::unique(out, out + pins.size()) - out);
+    mem.net_size[e] = vp::checked_narrow<std::uint32_t>(k);
+    mem.net_hash[e] = hash_pins({out, k});
   }
 
   // Merge parallel nets (identical pin sets), in net order, via a flat

@@ -14,17 +14,15 @@
 // they are bounded by num_vertices), rewritten nets live in one flat
 // array indexed like the fine pins, and parallel-net detection uses a
 // flat open-addressing table — no per-call unordered_map or per-net
-// vector churn.  The per-net rewrite (map, sort, dedup, hash) is
-// independent across nets and may be sharded over a ThreadPool; the
-// renumbering and the merge stay serial and in net order, so the result
-// is the same with or without a pool.
+// vector churn.  Each net is rewritten (map, sort, dedup, hash) in
+// place at its own fine pin offset, then the nets are merged in net
+// order.  Everything runs on the calling thread.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "src/hypergraph/hypergraph.h"
-#include "src/util/thread_pool.h"
 
 namespace vlsipart {
 
@@ -70,12 +68,10 @@ struct ContractionResult {
 /// must be < num_vertices).  Edge weights of merged parallel nets are
 /// summed so that coarse cut equals fine cut for any partition that
 /// respects the clusters.  `memory` (optional) supplies reusable scratch;
-/// passing nullptr uses call-local buffers.  `pool` (optional) shards the
-/// per-net rewrite; the result does not depend on it.
+/// passing nullptr uses call-local buffers.
 ContractionResult contract(const Hypergraph& h,
                            const std::vector<VertexId>& cluster_of,
-                           ContractionMemory* memory = nullptr,
-                           ThreadPool* pool = nullptr);
+                           ContractionMemory* memory = nullptr);
 
 /// Project a coarse 2-way assignment back onto the fine hypergraph.
 std::vector<PartId> project_partition(

@@ -93,11 +93,12 @@ struct FmConfig {
   /// FmResult::pass_traces (diagnostic; costs one Weight per move).
   bool record_trace = false;
 
-  /// Worker threads for refinement.  1 = the serial FM engine above
+  /// Refinement algorithm switch.  1 = the serial FM engine above
   /// (bit-identical to historical behavior); > 1 selects the
-  /// synchronous-round parallel refiner (parallel_refine.h), whose
-  /// results are identical for every thread count — the two engines are
-  /// different heuristics, so 1 vs >1 legitimately differ.
+  /// synchronous-round refiner (parallel_refine.h).  That refiner runs
+  /// on the calling thread: the value above 1 starts no threads and
+  /// changes neither the work nor the result.  The two engines are
+  /// different heuristics, so 1 vs > 1 legitimately differ.
   std::size_t refine_threads = 1;
 
   /// Runtime invariant audits (off by default).  The engine resolves this

@@ -126,8 +126,8 @@ MultistartResult run_multistart(const PartitionProblem& problem,
     for (std::size_t i = 0; i < num_starts; ++i) {
       Rng rng = base.fork(i);
       // Process CPU, not the calling thread's: an engine with its own
-      // pool (coarsen_threads or refine_threads > 1) does part of the
-      // start on workers while this thread blocks.
+      // pool (evo with evo_threads > 1) does part of the start on
+      // workers while this thread blocks.
       CpuTimer timer;
       const Weight cut = partitioner.run(problem, rng, parts);
       StartRecord record;

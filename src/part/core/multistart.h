@@ -49,9 +49,9 @@ struct MultistartResult {
   /// Sum of per-start CPU seconds — the paper's CPU-time axis;
   /// invariant (up to timer noise) under the thread count only for
   /// engines without their own pool.  The serial loops charge process
-  /// CPU and the parallel loops thread CPU, so an engine with
-  /// coarsen_threads / refine_threads > 1 reports more CPU at 1 thread
-  /// than at N (see src/util/timer.h).
+  /// CPU and the parallel loops thread CPU, so an engine with its own
+  /// pool (evo with evo_threads > 1) reports more CPU at 1 thread than
+  /// at N (see src/util/timer.h).
   double total_cpu_seconds = 0.0;
   /// Wall-clock of the whole harness call; shrinks with more threads.
   double wall_seconds = 0.0;
@@ -120,8 +120,8 @@ PrunedMultistartResult run_multistart_pruned(const PartitionProblem& problem,
 /// per-start CPU reaches the budget (or the max_starts cap); speculative
 /// starts past the cutoff are discarded and charged to neither the
 /// records nor total_cpu_seconds.  That is the serial rule's prefix for
-/// engines without their own pool.  With one (coarsen_threads /
-/// refine_threads > 1) the serial path charges process CPU and the
+/// engines without their own pool.  With one (evo with evo_threads >
+/// 1) the serial path charges process CPU and the
 /// parallel path thread CPU, so the serial path reaches the budget after
 /// fewer starts (see src/util/timer.h).
 MultistartResult run_multistart_budgeted(const PartitionProblem& problem,

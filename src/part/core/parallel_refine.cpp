@@ -1,10 +1,8 @@
 #include "src/part/core/parallel_refine.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "src/util/logging.h"
-#include "src/util/shard.h"
 
 namespace vlsipart {
 
@@ -86,12 +84,10 @@ CommitOutcome commit_proposals(const PartitionProblem& problem,
 }
 
 ParallelFmRefiner::ParallelFmRefiner(const PartitionProblem& problem,
-                                     FmConfig config, ThreadPool* pool)
+                                     FmConfig config, ThreadPool* /*pool*/)
     : problem_(&problem),
       config_(std::move(config)),
-      audit_(AuditConfig::resolve(config_.audit)),
-      pool_(pool),
-      shards_(pool != nullptr ? pool->num_threads() : 1) {
+      audit_(AuditConfig::resolve(config_.audit)) {
   const Hypergraph& g = *problem_->graph;
   const std::size_t n = g.num_vertices();
   // 32-bit id contract: the VertexId sweep below cannot wrap.
@@ -109,7 +105,6 @@ ParallelFmRefiner::ParallelFmRefiner(const PartitionProblem& problem,
       movable_[v] = 0;
     }
   }
-  shard_proposals_.resize(shards_);
   moved_scratch_.assign(n, 0);
 }
 
@@ -123,31 +118,14 @@ Weight ParallelFmRefiner::imbalance(Weight w0) const {
 // hot-path: root
 std::size_t ParallelFmRefiner::freeze_gains(const PartitionState& state) {
   const std::size_t n = problem_->graph->num_vertices();
-  {
-    std::lock_guard<std::mutex> lock(work_mutex_);  // hot-path: allow(per-round tally, not per-move)
-    round_gains_recomputed_ = 0;
+  std::size_t recomputed = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (dirty_[v] == 0 || movable_[v] == 0) continue;
+    gain_[v] = state.gain(static_cast<VertexId>(v));
+    dirty_[v] = 0;
+    ++recomputed;
   }
-  // Each shard owns a contiguous vertex range: writes to gain_/dirty_
-  // are disjoint across workers, state is only read.
-  auto freeze_shard = [&](std::size_t shard) {
-    const ShardRange r = shard_range(n, shards_, shard);
-    std::size_t recomputed = 0;
-    for (std::size_t v = r.begin; v < r.end; ++v) {
-      if (dirty_[v] == 0 || movable_[v] == 0) continue;
-      gain_[v] = state.gain(static_cast<VertexId>(v));
-      dirty_[v] = 0;
-      ++recomputed;
-    }
-    std::lock_guard<std::mutex> lock(work_mutex_);  // hot-path: allow(per-shard tally, once per round)
-    round_gains_recomputed_ += recomputed;
-  };
-  if (pool_ != nullptr && shards_ > 1) {
-    pool_->parallel_for_dynamic(shards_, freeze_shard);  // hot-path: allow(pool dispatch, once per round)
-  } else {
-    for (std::size_t s = 0; s < shards_; ++s) freeze_shard(s);
-  }
-  std::lock_guard<std::mutex> lock(work_mutex_);  // hot-path: allow(per-round tally, not per-move)
-  return round_gains_recomputed_;
+  return recomputed;
 }
 
 // hot-path: root
@@ -161,33 +139,17 @@ void ParallelFmRefiner::propose(const PartitionState& state) {
   const PartId overloaded =
       w0 > problem_->balance.max_part() ? PartId{0} : PartId{1};
 
-  auto propose_shard = [&](std::size_t shard) {
-    const ShardRange r = shard_range(n, shards_, shard);
-    std::vector<MoveProposal>& out = shard_proposals_[shard];
-    out.clear();
-    for (std::size_t v = r.begin; v < r.end; ++v) {
-      if (movable_[v] == 0) continue;
-      const VertexId vid = static_cast<VertexId>(v);
-      if (infeasible ? state.part(vid) != overloaded : gain_[v] <= 0) {
-        continue;
-      }
-      out.push_back(MoveProposal{vid, gain_[v]});  // hot-path: allow(reused per-shard proposal buffer, growth amortized)
-    }
-  };
-  if (pool_ != nullptr && shards_ > 1) {
-    pool_->parallel_for_dynamic(shards_, propose_shard);  // hot-path: allow(pool dispatch, once per round)
-  } else {
-    for (std::size_t s = 0; s < shards_; ++s) propose_shard(s);
-  }
-
-  // Merge in shard order = global ascending id order (shard.h lemma),
-  // then a stable sort by gain descending keeps equal-gain proposals in
-  // ascending id order — the (gain desc, id asc) commit order, reached
-  // identically for every shard count.
   proposals_.clear();
-  for (const std::vector<MoveProposal>& sp : shard_proposals_) {
-    proposals_.insert(proposals_.end(), sp.begin(), sp.end());  // hot-path: allow(reused merge buffer, growth amortized)
+  for (std::size_t v = 0; v < n; ++v) {
+    if (movable_[v] == 0) continue;
+    const VertexId vid = static_cast<VertexId>(v);
+    if (infeasible ? state.part(vid) != overloaded : gain_[v] <= 0) {
+      continue;
+    }
+    proposals_.push_back(MoveProposal{vid, gain_[v]});  // hot-path: allow(reused proposal buffer, growth amortized)
   }
+  // Collected in ascending id order, so a stable sort by gain
+  // descending yields the (gain desc, id asc) commit order.
   std::stable_sort(proposals_.begin(), proposals_.end(),  // hot-path: allow(proposal order, once per round)
                    [](const MoveProposal& a, const MoveProposal& b) {
                      return a.gain > b.gain;

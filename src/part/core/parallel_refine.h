@@ -1,41 +1,39 @@
-// Deterministic synchronous-round parallel 2-way refinement.
+// Deterministic synchronous-round 2-way refinement.
 //
 // The serial FM engine (fm_refiner.h) is inherently sequential: every
 // move depends on the gain-bucket state left by the previous one.  This
-// engine trades that strict move order for round-level parallelism while
-// keeping the repo's determinism bar (DESIGN.md §7): results are a pure
-// function of the problem and the starting assignment — never of the
-// thread count or scheduling.  Each round:
+// engine trades that strict move order for rounds whose gather phases
+// are independent per vertex, keeping the repo's determinism bar
+// (DESIGN.md §7): results are a pure function of the problem and the
+// starting assignment.  Each round:
 //
 //   1. FREEZE    — gains of all dirty vertices are recomputed from the
-//                  current PartitionState into a flat snapshot, in
-//                  parallel over contiguous vertex-range shards;
-//   2. PROPOSE   — each shard collects its positive-gain movable
-//                  vertices (or, from an infeasible projection, the
-//                  overloaded side's vertices) in ascending id order;
-//   3. COMMIT    — shard buffers are concatenated in shard order (=
-//                  global ascending id order, see shard.h), stably
-//                  sorted by gain descending (ties stay in id order),
-//                  and applied by a serial prefix scan: each legal move
-//                  is applied through the PartitionState interleaved
-//                  pin-count walk while the running (imbalance, cut)
-//                  key is tracked, then the suffix beyond the best
-//                  prefix is rolled back — moves the frozen gains
-//                  mispredicted (conflicting neighbors) cost nothing;
+//                  current PartitionState into a flat snapshot;
+//   2. PROPOSE   — the positive-gain movable vertices (or, from an
+//                  infeasible projection, the overloaded side's
+//                  vertices) are collected in ascending id order;
+//   3. COMMIT    — the proposals are stably sorted by gain descending
+//                  (ties stay in id order) and applied by a prefix
+//                  scan: each legal move is applied through the
+//                  PartitionState interleaved pin-count walk while the
+//                  running (imbalance, cut) key is tracked, then the
+//                  suffix beyond the best prefix is rolled back — moves
+//                  the frozen gains mispredicted (conflicting neighbors)
+//                  cost nothing;
 //   4. REBUILD   — vertices whose gain the kept moves may have changed
 //                  (all pins of nets incident to kept moves) are marked
-//                  dirty for the next round's parallel patch.
+//                  dirty for the next round's patch.
 //
 // Rounds repeat while the kept prefix strictly improves the
-// (imbalance, cut) key.  Every phase is either shard-parallel with a
-// barrier (the pool's parallel_for_dynamic joins before the next phase
-// reads) or serial, and no phase reads anything another thread writes in
-// the same phase, so the execution is race-free by construction and
-// bit-identical at any thread count — the property
-// tests/parallel_refine_test.cpp enforces at 1/2/4/8 threads.
+// (imbalance, cut) key.  FREEZE and PROPOSE read only the state and
+// write only per-vertex slots, so they could be split into vertex-range
+// shards without changing a result.  Every phase runs on the calling
+// thread: on a 4-vCPU host, sharding them over a ThreadPool (two
+// hand-offs per round) cost more CPU and wall time end to end than it
+// saved (DESIGN.md §7.1).  refine_threads > 1 selects this engine; its
+// value does not change the work or the result.
 #pragma once
 
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -43,9 +41,10 @@
 #include "src/part/core/fm_refiner.h"  // UpdateWork cost-model struct
 #include "src/part/core/partition_state.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace vlsipart {
+
+class ThreadPool;
 
 /// One candidate move from the frozen gain snapshot.
 struct MoveProposal {
@@ -119,26 +118,25 @@ struct ParallelFmResult {
 
 class ParallelFmRefiner {
  public:
-  /// The problem must outlive the refiner.  `pool` (not owned, may be
-  /// null) supplies the workers; the shard count equals the pool's
-  /// thread count (1 when null) and, by the shard.h merge lemma, has no
-  /// effect on results.
+  /// The problem must outlive the refiner.  `pool` is unused (every
+  /// round runs on the calling thread); it stays for source
+  /// compatibility with existing callers and may be null.
   ParallelFmRefiner(const PartitionProblem& problem, FmConfig config,
                     ThreadPool* pool);
 
   /// Refine `state` (fully assigned) in place.  The Rng is part of the
   /// engine interface but never consumed: synchronous rounds make no
-  /// randomized decisions, which is what keeps them shard-invariant.
+  /// randomized decisions, which keeps them deterministic.
   ParallelFmResult refine(PartitionState& state, Rng& rng);
 
   const FmConfig& config() const { return config_; }
 
  private:
-  /// Recompute snapshot gains of dirty vertices (parallel), returning
-  /// the number recomputed.
+  /// Recompute snapshot gains of dirty vertices, returning the number
+  /// recomputed.
   std::size_t freeze_gains(const PartitionState& state);
-  /// Collect this round's proposals into proposals_ (parallel propose +
-  /// deterministic shard-order merge + stable gain sort).
+  /// Collect this round's proposals into proposals_ (ascending id
+  /// order, then a stable gain sort).
   void propose(const PartitionState& state);
   /// Mark every vertex whose gain a kept move may have changed.
   void mark_dirty(std::span<const VertexId> kept);
@@ -148,23 +146,13 @@ class ParallelFmRefiner {
   const PartitionProblem* problem_;
   FmConfig config_;
   AuditConfig audit_;
-  ThreadPool* pool_;  // not owned
-  std::size_t shards_ = 1;
 
   std::vector<Gain> gain_;            ///< frozen per-vertex gain snapshot
   std::vector<std::uint8_t> dirty_;   ///< gain_[v] needs a recompute
   std::vector<std::uint8_t> movable_; ///< not fixed, not oversized-excluded
-  std::vector<std::vector<MoveProposal>> shard_proposals_;
   std::vector<MoveProposal> proposals_;
   std::vector<VertexId> kept_moves_;
   std::vector<std::uint8_t> moved_scratch_;
-
-  /// Per-round gain-recompute tally.  Workers of the freeze phase
-  /// accumulate their shard counts here; integer addition commutes, so
-  /// the total is scheduling-invariant even though the update order is
-  /// not.  Lock discipline is checked by vpart_lint (DESIGN.md §12).
-  std::mutex work_mutex_;
-  std::size_t round_gains_recomputed_ = 0;  // guarded_by(work_mutex_)
 };
 
 }  // namespace vlsipart

@@ -22,11 +22,8 @@ Weight FlatFmPartitioner::run_start(const PartitionProblem& problem, Rng& rng,
   if (&problem != bound_problem_ || problem.graph != bound_graph_) {
     state_ = std::make_unique<PartitionState>(*problem.graph);
     if (config_.refine_threads > 1) {
-      if (pool_ == nullptr) {
-        pool_ = std::make_unique<ThreadPool>(config_.refine_threads);
-      }
       parallel_refiner_ =
-          std::make_unique<ParallelFmRefiner>(problem, config_, pool_.get());
+          std::make_unique<ParallelFmRefiner>(problem, config_, nullptr);
     } else {
       refiner_ = std::make_unique<FmRefiner>(problem, config_);
     }

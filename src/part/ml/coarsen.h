@@ -42,15 +42,15 @@ struct CoarsenConfig {
   /// Nets larger than this do not contribute to ratings (huge clock-
   /// class nets carry no clustering signal and are expensive to scan).
   std::size_t max_rated_net_size = 64;
-  /// Worker threads for coarsening.  1 = the serial random-order
+  /// Coarsening algorithm switch.  1 = the serial random-order
   /// coarsener below (bit-identical to historical behavior); > 1 selects
   /// the deterministic sub-round coarsener (parallel_coarsen.h): 8
-  /// hash-assigned sub-rounds, each rated in parallel against the
-  /// clustering so far and resolved in ascending id order, then a
-  /// contraction with a sharded per-net rewrite (levels under 2048
-  /// vertices run inline).  Its hierarchy is identical for every thread
-  /// count, and ctest gates keep its coarsest level within 1.5x of the
-  /// serial one and its ML cuts not significantly worse.
+  /// hash-assigned sub-rounds, each rated against the clustering so far
+  /// and resolved in ascending id order, then the usual contraction.
+  /// That coarsener runs on the calling thread: the value above 1 starts
+  /// no threads and changes neither the work nor the hierarchy.  ctest
+  /// gates keep its coarsest level within 1.5x of the serial one and its
+  /// ML cuts not significantly worse.
   std::size_t coarsen_threads = 1;
   /// If true, only merge vertices currently in the same part — the
   /// restricted coarsening used by V-cycling [25][26].  Not a CLI knob:

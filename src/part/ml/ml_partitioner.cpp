@@ -20,14 +20,6 @@ std::unique_ptr<Bipartitioner> MlPartitioner::clone() const {
   return std::make_unique<MlPartitioner>(config_, name_);
 }
 
-ThreadPool* MlPartitioner::acquire_pool() {
-  const std::size_t threads = std::max(config_.refine.refine_threads,
-                                       config_.coarsen.coarsen_threads);
-  if (threads <= 1) return nullptr;
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads);
-  return pool_.get();
-}
-
 Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
                                    std::vector<PartId>& parts,
                                    bool restricted,
@@ -42,8 +34,7 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
   std::vector<CoarsenLevel> levels =
       coarsen_config.coarsen_threads > 1
           ? parallel_build_hierarchy(fine, coarsen_config, problem.fixed,
-                                     guide, acquire_pool(),
-                                     &contraction_memory_)
+                                     guide, nullptr, &contraction_memory_)
           : build_hierarchy(fine, coarsen_config, problem.fixed, guide, rng,
                             &contraction_memory_);
 
@@ -74,11 +65,11 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
 
   // Level refinement dispatch: serial FM at refine_threads=1 (the
   // historical, golden-digest-pinned path), the synchronous-round
-  // parallel engine otherwise.
+  // engine otherwise.  Both run on the calling thread.
   const bool par_refine = config_.refine.refine_threads > 1;
   auto refine_in_place = [&](const PartitionProblem& p, PartitionState& s) {
     if (par_refine) {
-      ParallelFmRefiner refiner(p, config_.refine, acquire_pool());
+      ParallelFmRefiner refiner(p, config_.refine, nullptr);
       work_.absorb(refiner.refine(s, rng).update_work());
     } else {
       FmRefiner refiner(p, config_.refine);
@@ -118,7 +109,7 @@ Weight MlPartitioner::run_internal(const PartitionProblem& problem, Rng& rng,
     std::unique_ptr<ParallelFmRefiner> parallel_refiner;
     if (par_refine) {
       parallel_refiner = std::make_unique<ParallelFmRefiner>(
-          coarse_problem, config_.refine, acquire_pool());
+          coarse_problem, config_.refine, nullptr);
     } else {
       serial_refiner =
           std::make_unique<FmRefiner>(coarse_problem, config_.refine);

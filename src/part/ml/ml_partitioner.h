@@ -24,7 +24,6 @@
 #include "src/part/core/multistart.h"
 #include "src/part/core/partitioner.h"
 #include "src/part/ml/coarsen.h"
-#include "src/util/thread_pool.h"
 
 namespace vlsipart {
 
@@ -84,14 +83,7 @@ class MlPartitioner final : public Bipartitioner {
                       std::vector<PartId>& parts, bool restricted,
                       const std::vector<PartId>* cluster_guide = nullptr);
 
-  /// Lazily created owned pool, sized max(refine_threads,
-  /// coarsen_threads); nullptr while both knobs are 1.  Owned (not
-  /// shared) so cloned engines in parallel multistart get private
-  /// workers.
-  ThreadPool* acquire_pool();
-
   MlConfig config_;
-  std::unique_ptr<ThreadPool> pool_;
   std::string name_;
   /// Gain-update work accumulated over every refine at every level.
   UpdateWork work_;

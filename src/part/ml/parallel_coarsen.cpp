@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <numeric>
 
-#include "src/util/shard.h"
-
 namespace vlsipart {
 namespace {
 
@@ -14,12 +12,6 @@ namespace {
 /// barriers; 8 already brings the coarsest level within a few percent
 /// of the serial coarsener's.
 constexpr std::size_t kSubRounds = 8;
-
-/// A level with fewer vertices than this runs inline: its sub-rounds
-/// (about kParallelGrain / kSubRounds members each) and its contraction
-/// are too small to pay for a pool hand-off.  Scheduling only — the
-/// result is the same either way.
-constexpr std::size_t kParallelGrain = 2048;
 
 /// Fixed sub-round of a vertex: a splitmix64 finalizer of the id, so
 /// sub-rounds interleave across the id space (neighbors in the CSR
@@ -43,26 +35,15 @@ Weight parallel_max_cluster_weight(const Hypergraph& h,
   return std::max(cap, h.max_vertex_weight());
 }
 
-/// Scatter-accumulate scratch of one rating shard.
-struct RatingScratch {
-  std::vector<double> rating;
-  std::vector<VertexId> touched;
-};
-
 }  // namespace
 
 CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
                                    const CoarsenConfig& config,
                                    const std::vector<PartId>& fixed,
                                    const std::vector<PartId>& parts,
-                                   ThreadPool* pool,
                                    ContractionMemory* memory) {
   const std::size_t n = h.num_vertices();
   const Weight max_cw = parallel_max_cluster_weight(h, config);
-  if (pool != nullptr && (pool->num_threads() < 2 || n < kParallelGrain)) {
-    pool = nullptr;
-  }
-  const std::size_t shards = pool != nullptr ? pool->num_threads() : 1;
   const bool matching = config.scheme == CoarsenScheme::kHeavyEdgeMatching;
 
   auto is_fixed = [&fixed](VertexId v) {
@@ -102,18 +83,18 @@ CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
 
   // pref[i]: preferred target of the current sub-round's i-th member.
   std::vector<VertexId> pref(n, kInvalidVertex);
-  std::vector<RatingScratch> scratch(shards);
-  const VertexId* round = members.data();
-  std::size_t round_size = 0;
+  // Scatter-accumulate scratch of the rating phase (all zero between
+  // members).
+  std::vector<double> rating(n, 0.0);
+  std::vector<VertexId> touched;
 
   // RATE one member against the clustering left by earlier sub-rounds,
-  // which is read-only while any shard rates.  The accumulation order
-  // over v's nets and pins is fixed by the CSR layout, so the scores —
-  // and hence the choice — never depend on the shard count.
-  auto rate = [&](VertexId v, RatingScratch& s) {
+  // which stays fixed for the whole phase.  The accumulation order over
+  // v's nets and pins is fixed by the CSR layout, so the scores — and
+  // hence the choice — depend on nothing but the graph and that
+  // clustering.
+  auto rate = [&](VertexId v) {
     if (clustered[v] || is_fixed(v)) return kInvalidVertex;
-    std::vector<double>& rating = s.rating;
-    std::vector<VertexId>& touched = s.touched;
     touched.clear();
     for (const EdgeId e : h.incident_edges(v)) {
       const std::size_t size = h.edge_size(e);
@@ -147,28 +128,15 @@ CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
     for (const VertexId c : touched) rating[c] = 0.0;
     return best;
   };
-  auto rate_range = [&](RatingScratch& s, std::size_t begin,
-                        std::size_t end) {
-    // Allocated on first use, once per level, by the thread that uses it.
-    if (s.rating.size() != n) s.rating.assign(n, 0.0);
-    for (std::size_t i = begin; i < end; ++i) pref[i] = rate(round[i], s);
-  };
-  auto rate_shard = [&](std::size_t shard) {
-    const ShardRange range = shard_range(round_size, shards, shard);
-    rate_range(scratch[shard], range.begin, range.end);
-  };
 
   for (std::size_t r = 0; r < kSubRounds; ++r) {
-    round = members.data() + round_begin[r];
-    round_size = round_begin[r + 1] - round_begin[r];
-    if (pool != nullptr) {
-      pool->parallel_for_dynamic(shards, rate_shard);
-    } else {
-      rate_range(scratch[0], 0, round_size);
-    }
+    const VertexId* const round = members.data() + round_begin[r];
+    const std::size_t round_size = round_begin[r + 1] - round_begin[r];
+    // RATE every member before any resolves: a preference never sees
+    // a cluster formed in its own sub-round.
+    for (std::size_t i = 0; i < round_size; ++i) pref[i] = rate(round[i]);
 
-    // RESOLVE in ascending id order; the only sequential step, and its
-    // order is fixed by vertex ids, not threads.
+    // RESOLVE in ascending id order, fixed by vertex ids.
     for (std::size_t i = 0; i < round_size; ++i) {
       const VertexId v = round[i];
       const VertexId target = pref[i];
@@ -198,7 +166,7 @@ CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
     }
   }
 
-  ContractionResult contraction = contract(h, cluster_of, memory, pool);
+  ContractionResult contraction = contract(h, cluster_of, memory);
   CoarsenLevel level;
   level.coarse = std::move(contraction.coarse);
   level.fine_to_coarse = std::move(contraction.fine_to_coarse);
@@ -208,7 +176,7 @@ CoarsenLevel parallel_coarsen_once(const Hypergraph& h,
 std::vector<CoarsenLevel> parallel_build_hierarchy(
     const Hypergraph& h, const CoarsenConfig& config,
     const std::vector<PartId>& fixed, const std::vector<PartId>& parts,
-    ThreadPool* pool, ContractionMemory* memory) {
+    ThreadPool* /*pool*/, ContractionMemory* memory) {
   std::vector<CoarsenLevel> levels;
   const Hypergraph* current = &h;
   std::vector<PartId> current_fixed = fixed;
@@ -216,7 +184,7 @@ std::vector<CoarsenLevel> parallel_build_hierarchy(
 
   while (current->num_vertices() > config.coarsen_to) {
     CoarsenLevel level = parallel_coarsen_once(*current, config, current_fixed,
-                                               current_parts, pool, memory);
+                                               current_parts, memory);
     const double reduction =
         static_cast<double>(level.coarse.num_vertices()) /
         static_cast<double>(current->num_vertices());

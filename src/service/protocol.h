@@ -14,8 +14,9 @@
 // engines guarantee this (bit-identical multistart, DESIGN.md
 // "Threading model"); the service preserves it by running every job on
 // exactly one worker.  Each worker's engines use the daemon-wide
-// refine_threads/coarsen_threads setting; the intra-run parallel engines
-// are bit-identical at any thread count > 1, but 1 (serial FM) and > 1
+// refine_threads/coarsen_threads setting; the round engines that a
+// value > 1 selects run on the worker's own thread and give the same
+// result for every value > 1, but 1 (serial FM) and > 1
 // (synchronous-round engine) are different heuristics, so a deployment
 // must pick one setting and keep it for results to be comparable across
 // restarts.  That contract

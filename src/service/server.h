@@ -58,12 +58,13 @@ struct ServiceConfig {
   std::size_t instance_cache_capacity = 8;  // resident hypergraphs
   std::size_t result_cache_capacity = 256;
   bool verbose = false;                     // per-event log lines
-  /// Intra-run threads of each resident engine (1 = the serial engines;
-  /// > 1 = the deterministic synchronous-round refiner / two-phase
-  /// coarsener).  Results stay a pure function of the request either
-  /// way, so cached and recomputed answers agree at any setting — but
-  /// the two settings are different heuristics, so a deployment must
-  /// pick one and keep it (see protocol.h determinism contract).
+  /// Engine switch of each resident engine (1 = the serial engines;
+  /// > 1 = the deterministic synchronous-round refiner / sub-round
+  /// coarsener, which run on the worker's own thread and start no
+  /// threads).  Results stay a pure function of the request either way,
+  /// so cached and recomputed answers agree at any setting — but the
+  /// two settings are different heuristics, so a deployment must pick
+  /// one and keep it (see protocol.h determinism contract).
   std::size_t refine_threads = 1;
   std::size_t coarsen_threads = 1;
 };

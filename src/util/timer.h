@@ -7,10 +7,12 @@
 // harnesses use the *thread* CPU clock when starts run concurrently
 // (process CPU would charge every start for all threads' work) and the
 // process CPU clock in the serial run_multistart / run_multistart_budgeted
-// loops, so an engine that fans a start out over its own pool
-// (coarsen_threads / refine_threads > 1) is charged for its workers.
-// Two cases remain inexact: parallel multistart over engines with their
-// own pools still leaves those pools' workers out (under-reports), and a
+// loops, so an engine that fans a start out over its own pool (today
+// only the memetic engine with evo_threads > 1; the ML and flat engines
+// run coarsen_threads / refine_threads > 1 on the calling thread and own
+// no pool) is charged for its workers.  Two cases remain inexact:
+// parallel multistart over engines with their own pools still leaves
+// those pools' workers out (under-reports), and a
 // serial multistart sharing the process with other busy threads — e.g.
 // concurrent vpartd jobs — is charged for their work too
 // (over-reports).  Wall clock measures the harness itself (the quantity

@@ -14,6 +14,12 @@ Usage:
   tools/bench_compare.py --baseline BENCH_baseline.json \
       --bench build/bench/bench_micro
 
+When a capture (baseline or current) was taken with
+--benchmark_repetitions, each family is compared on its ``median``
+aggregate row; a family with a single row is compared on that row.  A
+median of several repetitions keeps one slow sample on a shared host
+from failing the gate.
+
 Exit status: 0 when no family regresses more than --threshold (default
 15%), 1 otherwise.  --warn-only always exits 0 (the CI soft gate; the
 hard gate is the ctest registered under -DVLSIPART_BENCH_GATE=ON, label
@@ -64,13 +70,19 @@ def throughput(entry):
 
 
 def families(doc):
-    out = {}
+    """Throughput per family: the ``median`` aggregate row of a
+    --benchmark_repetitions run when there is one, else the (last)
+    single row.  Mean/stddev/cv aggregates are ignored."""
+    single = {}
+    median = {}
     for entry in doc.get("benchmarks", []):
-        # Skip mean/median/stddev rows from --benchmark_repetitions runs.
         if entry.get("run_type") == "aggregate":
+            if entry.get("aggregate_name") == "median":
+                median[entry.get("run_name", entry["name"])] = throughput(entry)
             continue
-        out[entry["name"]] = throughput(entry)
-    return out
+        single[entry.get("run_name", entry["name"])] = throughput(entry)
+    single.update(median)
+    return single
 
 
 def run_bench(bench, out_path, min_time):

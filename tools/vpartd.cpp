@@ -18,9 +18,11 @@
 //   --stats-interval 0     seconds between stats log lines (0 = off)
 //   --instance-cache 8     resident built hypergraphs
 //   --result-cache 256     resident finished results
-//   --refine-threads 1     intra-run refinement threads per engine
-//                          (1 = serial FM; >1 = synchronous-round engine)
-//   --coarsen-threads 1    intra-run coarsening threads per engine
+//   --refine-threads 1     refinement engine of each worker (1 = serial
+//                          FM; >1 = synchronous-round engine, run on the
+//                          worker's thread)
+//   --coarsen-threads 1    coarsening engine of each worker (1 = serial;
+//                          >1 = sub-round coarsener on the worker's thread)
 //   --verbose              per-event log lines on stderr
 #include <cstdio>
 #include <exception>
