@@ -71,54 +71,6 @@ std::map<std::string, std::set<int>> collect_allows(const LexedFile& file) {
   return allows;
 }
 
-struct Baseline {
-  /// (rule, path) pairs silenced by the checked-in baseline file.
-  std::set<std::pair<std::string, std::string>> entries;
-};
-
-void load_baseline(const std::string& path, Baseline& baseline,
-                   std::vector<std::string>& errors) {
-  std::ifstream in(path);
-  if (!in) {
-    errors.push_back("cannot read baseline file: " + path);
-    return;
-  }
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::size_t b = line.find_first_not_of(" \t");
-    if (b == std::string::npos || line[b] == '#') continue;
-    const std::size_t p1 = line.find('|');
-    const std::size_t p2 =
-        p1 == std::string::npos ? std::string::npos : line.find('|', p1 + 1);
-    if (p2 == std::string::npos) {
-      errors.push_back(path + ":" + std::to_string(lineno) +
-                       ": malformed baseline entry (want "
-                       "rule|path|justification): " +
-                       line);
-      continue;
-    }
-    const std::string rule = line.substr(0, p1);
-    const std::string file = line.substr(p1 + 1, p2 - p1 - 1);
-    std::string just = line.substr(p2 + 1);
-    const std::size_t jb = just.find_first_not_of(" \t");
-    if (jb == std::string::npos) {
-      errors.push_back(path + ":" + std::to_string(lineno) +
-                       ": baseline entry for " + rule + "|" + file +
-                       " has no justification — baselining without a "
-                       "written reason is not allowed");
-      continue;
-    }
-    if (find_rule(rule) == nullptr) {
-      errors.push_back(path + ":" + std::to_string(lineno) +
-                       ": unknown rule in baseline: " + rule);
-      continue;
-    }
-    baseline.entries.insert({rule, file});
-  }
-}
-
 std::string normalize_slashes(std::string s) {
   std::replace(s.begin(), s.end(), '\\', '/');
   return s;
@@ -179,11 +131,6 @@ AnalysisResult analyze_buffers(const std::vector<SourceBuffer>& files,
     }
     filter.only.insert(id);
   }
-
-  Baseline baseline;
-  if (!options.baseline_path.empty()) {
-    load_baseline(options.baseline_path, baseline, result.errors);
-  }
   if (!result.errors.empty()) return result;
 
   Corpus corpus;
@@ -212,7 +159,6 @@ AnalysisResult analyze_buffers(const std::vector<SourceBuffer>& files,
   const CallGraph graph = build_call_graph(corpus);
   run_lock_rule(corpus, graph, filter, raw);
   run_hotpath_rule(corpus, graph, filter, raw, result.suppressed);
-  run_round_rules(corpus, graph, filter, raw);
 
   // Per-file allow() maps, built once.
   std::map<std::string, std::map<std::string, std::set<int>>> allows;
@@ -220,7 +166,6 @@ AnalysisResult analyze_buffers(const std::vector<SourceBuffer>& files,
     if (unit.linted) allows[unit.lexed.path] = collect_allows(unit.lexed);
   }
 
-  std::set<std::pair<std::string, std::string>> used_baseline;
   for (Finding& f : raw) {
     const auto file_it = allows.find(f.path);
     if (file_it != allows.end()) {
@@ -231,30 +176,7 @@ AnalysisResult analyze_buffers(const std::vector<SourceBuffer>& files,
         continue;
       }
     }
-    if (baseline.entries.count({f.rule, f.path}) != 0) {
-      ++result.baselined;
-      used_baseline.insert({f.rule, f.path});
-      continue;
-    }
     result.findings.push_back(std::move(f));
-  }
-
-  // Stale-baseline detection: an entry whose rule ran and whose file was
-  // linted must have matched at least one finding, or it is dead weight
-  // that would silently mask a future regression.  Entries for files
-  // outside this invocation's lint set (or rules filtered out by
-  // --rules) are not judged — partial runs must not invalidate the
-  // shared baseline.
-  std::set<std::string> linted_paths;
-  for (const FileUnit& unit : corpus.units) {
-    if (unit.linted) linted_paths.insert(unit.lexed.path);
-  }
-  for (const auto& entry : baseline.entries) {
-    if (used_baseline.count(entry) != 0) continue;
-    if (!filter.enabled(entry.first.c_str())) continue;
-    if (linted_paths.count(entry.second) == 0) continue;
-    result.errors.push_back("stale baseline entry (matches no finding): " +
-                            entry.first + "|" + entry.second);
   }
 
   std::sort(result.findings.begin(), result.findings.end(),

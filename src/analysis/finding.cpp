@@ -55,13 +55,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "allocation, locking, IO or throw in code reachable from a "
        "// hot-path: root function — the FM inner loop must not touch the "
        "heap; justify amortized sites with // hot-path: allow(<reason>)"},
-      {"round-frozen-write", "round",
-       "worker-shard lambda writes a captured array at an index not "
-       "derived from its shard range (or grows a captured container) — "
-       "shards may only write slots they own"},
-      {"round-rng-in-shard", "round",
-       "RNG draw inside a worker-shard lambda — per-shard draws make the "
-       "stream depend on the shard count; draw before the round"},
       {"narrowing-assign", "index-width",
        "size-derived 64-bit value assigned to a narrower integer — "
        "truncates silently past 2^32 pins; use vp::checked_narrow<T>() or "

@@ -286,7 +286,6 @@ class Parser {
       k = op;
     }
     def.line = T_[name_tok].line;
-    def.col = T_[name_tok].col;
 
     std::vector<std::string> quals;
     std::size_t q = k;
@@ -379,11 +378,11 @@ class Parser {
     bool in_default = false;
     std::string last_ident;
     std::string name;
+    std::string first_name;  // `(void)` declares no parameter
     auto finish = [&] {
       if (!any_token) return;
-      ++params;
+      if (++params == 1) first_name = name.empty() ? last_ident : name;
       if (in_default) ++defaults;
-      def.param_names.push_back(name.empty() ? last_ident : name);
       any_token = false;
       in_default = false;
       last_ident.clear();
@@ -408,9 +407,7 @@ class Parser {
       }
     }
     finish();
-    if (params == 1 && def.param_names.size() == 1 &&
-        def.param_names[0] == "void") {
-      def.param_names.clear();
+    if (params == 1 && first_name == "void") {
       params = 0;
       defaults = 0;
     }
@@ -451,8 +448,6 @@ class Parser {
       def.is_lambda = true;
       def.parent = parent;
       def.line = T_[i].line;
-      def.col = T_[i].col;
-      parse_captures(i + 1, close_cap, def);
       std::size_t j = close_cap + 1;
       std::size_t op = 0;
       std::size_t cp = 0;
@@ -503,36 +498,6 @@ class Parser {
     }
   }
 
-  void parse_captures(std::size_t i, std::size_t end, FunctionDef& def) {
-    std::string current;
-    bool in_init = false;
-    int depth = 0;
-    auto finish = [&] {
-      if (!current.empty()) def.captures.push_back(current);
-      current.clear();
-      in_init = false;
-    };
-    for (std::size_t j = i; j < end; ++j) {
-      const Token& u = T_[j];
-      if (u.is_punct("(") || u.is_punct("[") || u.is_punct("{")) ++depth;
-      if (u.is_punct(")") || u.is_punct("]") || u.is_punct("}")) --depth;
-      if (depth == 0 && u.is_punct(",")) {
-        finish();
-        continue;
-      }
-      if (in_init) continue;
-      if (depth == 0 && u.is_punct("=") && !current.empty()) {
-        in_init = true;  // init capture: keep the name only
-        continue;
-      }
-      if (u.kind == TokenKind::kIdentifier || u.is_punct("&") ||
-          u.is_punct("=") || u.is_punct("*") || u.is_ident("this")) {
-        current += u.text;
-      }
-    }
-    finish();
-  }
-
   const std::vector<Token>& T_;
   std::vector<std::string> class_scopes_;
   ParsedFile out_;
@@ -540,13 +505,12 @@ class Parser {
 
 }  // namespace
 
-int ParsedFile::enclosing(std::size_t tok, bool named_only) const {
+int ParsedFile::enclosing(std::size_t tok) const {
   int best = -1;
   std::size_t best_span = 0;
   for (std::size_t f = 0; f < functions.size(); ++f) {
     const FunctionDef& d = functions[f];
     if (tok < d.body_begin || tok > d.body_end) continue;
-    if (named_only && d.is_lambda) continue;
     const std::size_t span = d.body_end - d.body_begin;
     if (best == -1 || span < best_span) {
       best = static_cast<int>(f);

@@ -12,10 +12,10 @@
 //     CFG exists for.
 //   * flow-determinism — taint propagation of pointer values (T* decls,
 //     &x, .data(), reinterpret_cast) and clock reads (::now(),
-//     clock_gettime) through assignments into ordering decisions: sort
-//     comparators and RNG seeds.  This upgrades the token-level
-//     determinism rules, which only see the sink expression itself and
-//     miss one hop of indirection.
+//     clock_gettime, time(), clock()) through assignments into
+//     ordering decisions: sort comparators and RNG seeds.  This
+//     upgrades the token-level determinism rules, which only see the
+//     sink expression itself and miss one hop of indirection.
 //   * dead-store / use-before-init — the cheap third client that proves
 //     the solver is generic: a plain `x = expr;` whose definition
 //     reaches no use, and a read reached by the "uninitialized"
@@ -415,7 +415,7 @@ class DataflowPass {
     const FunctionDef& def = parsed_.functions[fn_];
     for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
       if (!T[i].is_ident("static_cast")) continue;
-      if (parsed_.enclosing(i, false) != fn_) continue;  // nested lambda
+      if (parsed_.enclosing(i) != fn_) continue;  // nested lambda
       const auto [type, open] = cast_type_at(i);
       if (open == 0 || !is_narrow_int(type)) continue;
       const std::size_t close = match_paren(open);
@@ -452,7 +452,7 @@ class DataflowPass {
           !T[i + 1].is_punct("(")) {
         continue;
       }
-      if (parsed_.enclosing(i, false) != fn_) continue;
+      if (parsed_.enclosing(i) != fn_) continue;
       const std::size_t close = match_paren(i + 1);
       if (close >= T.size()) continue;
       // Clause boundaries: two top-level ';' (a range-for has none).
@@ -543,14 +543,7 @@ class DataflowPass {
 
   bool rhs_is_clock_source(std::size_t b, std::size_t e) const {
     for (std::size_t i = b; i < e && i < T.size(); ++i) {
-      if (T[i].is_ident("now") && i > b && T[i - 1].is_punct("::") &&
-          i + 1 < e && T[i + 1].is_punct("(")) {
-        return true;
-      }
-      if ((T[i].is_ident("clock_gettime") || T[i].is_ident("gettimeofday")) &&
-          i + 1 < e && T[i + 1].is_punct("(")) {
-        return true;
-      }
+      if (clock_call_at(T, i) != ClockCall::kNone) return true;
     }
     return false;
   }
@@ -617,7 +610,7 @@ class DataflowPass {
     const FunctionDef& def = parsed_.functions[fn_];
     for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
       if (!is_call_at(i) || !is_sort_name(T[i].text)) continue;
-      if (parsed_.enclosing(i, false) != fn_) continue;
+      if (parsed_.enclosing(i) != fn_) continue;
       const std::size_t close = match_paren(i + 1);
       if (close >= T.size()) continue;
       for (std::size_t j = i + 2; j < close; ++j) {
@@ -721,7 +714,7 @@ class DataflowPass {
     const FunctionDef& def = parsed_.functions[fn_];
     for (std::size_t i = def.body_begin; i < def.body_end; ++i) {
       if (!is_call_at(i)) continue;
-      if (parsed_.enclosing(i, false) != fn_) continue;
+      if (parsed_.enclosing(i) != fn_) continue;
       const std::string& name = T[i].text;
       const bool seedish = name == "Rng" || name == "reseed" ||
                            name == "fork" || contains_seed_word(name);

@@ -171,34 +171,20 @@ class DeterminismPass {
            "engines");
   }
 
-  /// One scan serves both clock rules: any clock read fires wall-clock;
-  /// a clock read on a line that also mentions seeding fires time-seed.
+  /// One scan serves both clock rules: a wall-clock read fires
+  /// wall-clock, and any clock read on a line that also mentions
+  /// seeding fires time-seed.  time()/clock() calls are not wall-clock
+  /// by themselves in the legacy rule set.
   void check_wall_clock_and_time_seed(std::size_t i) {
-    bool clock_read = false;
-    if (T[i].is_ident("now") && i > 0 && T[i - 1].is_punct("::") &&
-        i + 1 < T.size() && T[i + 1].is_punct("(")) {
-      clock_read = true;
-    }
-    if ((T[i].is_ident("clock_gettime") || T[i].is_ident("gettimeofday")) &&
-        i + 1 < T.size() && T[i + 1].is_punct("(")) {
-      clock_read = true;
-    }
-    if (clock_read) {
+    const ClockCall call = clock_call_at(T, i);
+    if (call == ClockCall::kNone) return;
+    if (call == ClockCall::kWallClock) {
       report(T[i], "wall-clock",
              "wall-clock read: annotate to affirm timing feeds only "
              "observability or admission policy (timers, deadlines, idle "
              "timeouts), never a partitioning result");
-      if (line_mentions_seed(T[i].line)) {
-        report(T[i], "time-seed",
-               "seeding from the clock ties results to the wall clock");
-      }
-      return;
     }
-    // time()/clock() calls are not wall-clock by themselves in the
-    // legacy rule set, but seeding from them is a time-seed.
-    if ((T[i].is_ident("time") || T[i].is_ident("clock")) &&
-        i + 1 < T.size() && T[i + 1].is_punct("(") &&
-        !prev_is_member_access(i) && line_mentions_seed(T[i].line)) {
+    if (line_mentions_seed(T[i].line)) {
       report(T[i], "time-seed",
              "seeding from the clock ties results to the wall clock");
     }

@@ -3,6 +3,7 @@
 // exercise individual passes.
 #pragma once
 
+#include <cstddef>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,6 +40,27 @@ struct RuleFilter {
 /// True when `path` is `prefix` itself or lies underneath it.
 bool path_under(const std::string& path, const std::string& prefix);
 
+/// Clock read made by the call whose name token is T[i], if any.
+/// chrono `::now(`, `clock_gettime(` and `gettimeofday(` are wall-clock
+/// reads; plain (non-member) calls of the C functions `time(` and
+/// `clock(` read the clock too.
+enum class ClockCall { kNone, kWallClock, kCTime };
+
+inline ClockCall clock_call_at(const std::vector<Token>& T, std::size_t i) {
+  if (i + 1 >= T.size() || !T[i + 1].is_punct("(")) return ClockCall::kNone;
+  const Token& t = T[i];
+  if ((t.is_ident("now") && i > 0 && T[i - 1].is_punct("::")) ||
+      t.is_ident("clock_gettime") || t.is_ident("gettimeofday")) {
+    return ClockCall::kWallClock;
+  }
+  const bool member =
+      i > 0 && (T[i - 1].is_punct(".") || T[i - 1].is_punct("->"));
+  if (!member && (t.is_ident("time") || t.is_ident("clock"))) {
+    return ClockCall::kCTime;
+  }
+  return ClockCall::kNone;
+}
+
 /// Per-file token rules: the determinism family.
 void run_determinism_rules(const FileUnit& unit, const RuleFilter& filter,
                            std::vector<Finding>& out);
@@ -66,10 +88,5 @@ void run_lock_rule(const Corpus& corpus, const CallGraph& graph,
 void run_hotpath_rule(const Corpus& corpus, const CallGraph& graph,
                       const RuleFilter& filter, std::vector<Finding>& out,
                       std::size_t& suppressed);
-
-/// Parallel-round protocol checks on worker-shard lambdas in
-/// parallel_* translation units.
-void run_round_rules(const Corpus& corpus, const CallGraph& graph,
-                     const RuleFilter& filter, std::vector<Finding>& out);
 
 }  // namespace vlsipart::analysis
